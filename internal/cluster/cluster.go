@@ -187,14 +187,21 @@ func (c *Cluster) serializeDuration(bytes int) simtime.Duration {
 }
 
 // Send models a transfer of payload bytes from node `from` to node `to` and
-// invokes done when the payload has fully arrived. The sender's NIC is a FIFO
-// resource: concurrent transfers from the same node queue behind each other,
-// which is what saturates a node's 1 Gbps uplink in the data-intensive
-// experiments (Fig 10/11). Intra-node sends complete immediately (done is
-// still deferred to a zero-delay event to keep causality uniform).
+// invokes done when the payload has fully arrived; see SendAction.
 func (c *Cluster) Send(from, to NodeID, bytes int, done func()) {
+	c.SendAction(from, to, bytes, simtime.Func(done))
+}
+
+// SendAction models a transfer of payload bytes from node `from` to node `to`
+// and fires done when the payload has fully arrived. The sender's NIC is a
+// FIFO resource: concurrent transfers from the same node queue behind each
+// other, which is what saturates a node's 1 Gbps uplink in the data-intensive
+// experiments (Fig 10/11). Intra-node sends complete immediately (done is
+// still deferred to a zero-delay event to keep causality uniform). done goes
+// onto the clock as it is, so a caller's reusable record costs no allocation.
+func (c *Cluster) SendAction(from, to NodeID, bytes int, done simtime.Action) {
 	if from == to {
-		c.clock.After(0, done)
+		c.clock.ScheduleAfter(0, done)
 		return
 	}
 	n := &c.nics[from]
@@ -206,7 +213,7 @@ func (c *Cluster) Send(from, to NodeID, bytes int, done func()) {
 	finish := start.Add(c.serializeDuration(bytes))
 	n.busyUntil = finish
 	n.sentBytes += int64(bytes)
-	c.clock.At(finish.Add(c.cfg.Latency), done)
+	c.clock.Schedule(finish.Add(c.cfg.Latency), done)
 }
 
 // NICBacklog returns how far in the future node n's NIC is already committed,

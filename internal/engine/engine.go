@@ -167,6 +167,12 @@ type sourceInstance struct {
 	// onto its new node without a reserved core (the surviving nodes' cores
 	// are already spoken for; the churn's capacity hit is the lost node).
 	freeRide bool
+
+	// The emission loop's parameters (startSources): the instance is the
+	// recurring clock event of its own loop.
+	e     *Engine
+	drv   *SourceDriver
+	share float64 // instances of the operator, the divisor of its offered rate
 }
 
 // opRuntime is the per-operator runtime state. It doubles as the policy's
@@ -281,6 +287,11 @@ type Engine struct {
 	rateFactor float64
 	// lastSnapAt is the previous Snapshot's virtual time (rate windows).
 	lastSnapAt simtime.Time
+
+	// freeDeliveries is the free list of delivery records and deliveries the
+	// number ever allocated (takeDelivery).
+	freeDeliveries *delivery
+	deliveries     int
 
 	// blockedW counts tuple weight that backpressure refused per target
 	// executor in the current scheduling window. It is folded into the

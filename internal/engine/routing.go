@@ -12,46 +12,49 @@ import (
 func (e *Engine) startSources() {
 	for _, op := range e.cfg.Topology.Sources() {
 		instances := e.sources[op.ID]
-		drv := e.cfg.Sources[op.ID]
 		for i, inst := range instances {
-			inst := inst
-			drv := drv
-			share := float64(len(instances))
+			inst.e = e
+			inst.drv = e.cfg.Sources[op.ID]
+			inst.share = float64(len(instances))
 			// Offset start times so instances interleave deterministically.
 			start := simtime.Duration(i) * simtime.Microsecond
-			e.clock.After(start, func() { e.emitLoop(inst, drv, share) })
+			e.clock.ScheduleAfter(start, inst)
 		}
 	}
 }
 
-// emitLoop emits one tuple batch and reschedules itself at the instance's
-// share of the offered rate, with exponential interarrival times (the M/M/k
-// model's Poisson arrivals).
-func (e *Engine) emitLoop(inst *sourceInstance, drv *SourceDriver, share float64) {
+// Fire runs the instance's emission loop: a source instance is its own clock
+// event, rescheduled once per firing, so emitting allocates nothing.
+func (inst *sourceInstance) Fire() { inst.e.emitLoop(inst) }
+
+// emitLoop emits one tuple batch and reschedules the instance at its share of
+// the offered rate, with exponential interarrival times (the M/M/k model's
+// Poisson arrivals).
+func (e *Engine) emitLoop(inst *sourceInstance) {
 	if e.stopped {
 		return
 	}
 	now := e.clock.Now()
-	rate := drv.Rate(now) * e.rateFactor / share
+	rate := inst.drv.Rate(now) * e.rateFactor / inst.share
 	if rate <= 0 {
 		// Workload momentarily silent; poll again shortly.
-		e.clock.After(10*simtime.Millisecond, func() { e.emitLoop(inst, drv, share) })
+		e.clock.ScheduleAfter(10*simtime.Millisecond, inst)
 		return
 	}
 	interval := float64(e.cfg.Batch) / rate // seconds per batch
-	e.emitOne(inst, drv)
+	e.emitOne(inst)
 	wait := simtime.FromSeconds(interval * e.rng.ExpFloat64())
 	if wait < simtime.Nanosecond {
 		wait = simtime.Nanosecond
 	}
-	e.clock.After(wait, func() { e.emitLoop(inst, drv, share) })
+	e.clock.ScheduleAfter(wait, inst)
 }
 
 // emitOne generates one batch and routes it downstream, subject to the
 // backpressure ledger of first-hop executors.
-func (e *Engine) emitOne(inst *sourceInstance, drv *SourceDriver) {
+func (e *Engine) emitOne(inst *sourceInstance) {
 	now := e.clock.Now()
-	key, bytes, payload := drv.Sample(now)
+	key, bytes, payload := inst.drv.Sample(now)
 	t := stream.Tuple{
 		Key:     key,
 		Weight:  e.cfg.Batch,
@@ -118,9 +121,50 @@ func (e *Engine) route(fromNode cluster.NodeID, d stream.OperatorID, t stream.Tu
 	}
 	ex := e.targetExecutor(rt, t.Key)
 	e.inflight[ex] += t.Weight
-	e.cluster.Send(fromNode, ex.LocalNode(), t.TotalBytes(), func() {
-		ex.Receive(t)
-	})
+	dl := e.takeDelivery()
+	dl.ex, dl.t = ex, t
+	e.cluster.SendAction(fromNode, ex.LocalNode(), t.TotalBytes(), dl)
+}
+
+// delivery is the clock event that hands a routed tuple to its executor's
+// receiver once the network transfer completes. The engine owns the records:
+// route takes one from the free list and the record returns itself when it
+// fires. A record still on the clock when the run ends is never fired and
+// never returned; it is dropped with the clock.
+type delivery struct {
+	e    *Engine
+	ex   *executor.Executor
+	t    stream.Tuple
+	next *delivery // free-list link
+}
+
+// takeDelivery pops a free record. An empty list grows the way append grows
+// a slice — by a slab as large as everything allocated so far — so the pool
+// sizes itself to the most tuples ever in flight on the network (a replayed
+// pause buffer puts a few hundred thousand there at once) in a logarithmic
+// number of allocations, and a run that routes nothing allocates nothing.
+func (e *Engine) takeDelivery() *delivery {
+	if e.freeDeliveries == nil {
+		slab := make([]delivery, max(64, e.deliveries))
+		e.deliveries += len(slab)
+		for i := range slab {
+			slab[i].e = e
+			slab[i].next, e.freeDeliveries = e.freeDeliveries, &slab[i]
+		}
+	}
+	dl := e.freeDeliveries
+	e.freeDeliveries, dl.next = dl.next, nil
+	return dl
+}
+
+// Fire recycles the record, then delivers: Receive may route further tuples,
+// which can reuse the record at once. A parked record is zeroed so it pins
+// neither an executor nor a payload.
+func (d *delivery) Fire() {
+	e, ex, t := d.e, d.ex, d.t
+	d.ex, d.t = nil, stream.Tuple{}
+	d.next, e.freeDeliveries = e.freeDeliveries, d
+	ex.Receive(t)
 }
 
 // replayPaused re-routes tuples buffered during an RC pause, charging the

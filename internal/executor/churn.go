@@ -53,7 +53,8 @@ func (e *Executor) FailNode(n cluster.NodeID) FailReport {
 		}
 		t.removed, t.failed = true, true
 		rep.LostTasks++
-		for _, q := range t.queue {
+		for t.queue.len() > 0 {
+			q := t.queue.pop()
 			if q.label != nil {
 				e.abortReassign(q.label, localFailed)
 			} else {
@@ -66,7 +67,7 @@ func (e *Executor) FailNode(n cluster.NodeID) FailReport {
 			// fires (finish checks t.failed); count its weight now.
 			rep.DroppedWeight += t.busyWeight
 		}
-		t.queue, t.queuedWeight = nil, 0
+		t.queue, t.queuedWeight = taskQueue{}, 0
 	}
 
 	// 2. Abort in-flight reassignments that lost an endpoint — or all of

@@ -119,13 +119,50 @@ type queued struct {
 	bufAt simtime.Time
 }
 
+// taskQueue is a task's pending FIFO: a ring that grows by doubling and is
+// indexed from head, so a queue in steady state reuses its buffer instead of
+// sliding through freshly grown ones.
+type taskQueue struct {
+	buf  []queued // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *taskQueue) len() int { return q.n }
+
+func (q *taskQueue) push(x queued) {
+	if q.n == len(q.buf) {
+		grown := make([]queued, max(8, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = x
+	q.n++
+}
+
+// pop removes the oldest item. The vacated slot is zeroed: a drained queue
+// must not keep a payload or a finished reassignment reachable.
+func (q *taskQueue) pop() queued {
+	x := q.buf[q.head]
+	q.buf[q.head] = queued{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return x
+}
+
 type task struct {
+	ex      *Executor
 	id      TaskID
 	core    cluster.CoreID
 	node    cluster.NodeID
-	queue   []queued
+	queue   taskQueue
 	busy    bool
 	removed bool
+	// serving is the batch in service while busy. A task serves one batch at
+	// a time, so the task is the clock event of its own service completion
+	// (Fire) and starting a batch allocates nothing.
+	serving queued
 	// failed marks a task destroyed by a node failure: unlike removed (a
 	// graceful drain through the reassignment protocol), a failed task loses
 	// its queue and never processes again. Tuples still in flight toward it
@@ -164,6 +201,8 @@ type Executor struct {
 	pausedBy map[state.ShardID]*reassign
 
 	inFlight int // weight units received but not yet processed
+
+	freeTransits *transit // free list of remote-dispatch records (dispatch)
 
 	// Window measurement state (reset by TakeWindow).
 	winArrived   int64
@@ -278,7 +317,7 @@ func (e *Executor) store(n cluster.NodeID) *state.Store {
 // task's ID.
 func (e *Executor) AddCore(core cluster.CoreID) TaskID {
 	id := TaskID(len(e.tasks))
-	t := &task{id: id, core: core, node: e.env.NodeOf(core)}
+	t := &task{ex: e, id: id, core: core, node: e.env.NodeOf(core)}
 	e.tasks = append(e.tasks, t)
 	e.live++
 	e.store(t.node)
@@ -374,7 +413,36 @@ func (e *Executor) dispatch(q queued, t *task) {
 		bytes = 64 // labeling tuples are tiny control messages
 	}
 	e.Stats.RemoteTransferBytes += int64(bytes)
-	e.env.Send(e.cfg.LocalNode, t.node, bytes, func() { e.enqueue(t, q) })
+	tr := e.freeTransits
+	if tr == nil {
+		tr = &transit{ex: e}
+		tr.done = tr.arrive
+	} else {
+		e.freeTransits, tr.next = tr.next, nil
+	}
+	tr.t, tr.q = t, q
+	e.env.Send(e.cfg.LocalNode, t.node, bytes, tr.done)
+}
+
+// transit carries one queued item over the network to a remote task. Env.Send
+// takes a plain func(), so a record binds its arrive method once, when it is
+// allocated, and hands that same func value to every Send it is reused for.
+// Records are owned by the executor's free list exactly as the engine's
+// delivery records are: taken in dispatch, returned when they fire, zeroed
+// while parked, dropped with the clock if the run ends first.
+type transit struct {
+	ex   *Executor
+	t    *task
+	q    queued
+	done func()   // tr.arrive
+	next *transit // free-list link
+}
+
+func (tr *transit) arrive() {
+	e, t, q := tr.ex, tr.t, tr.q
+	tr.t, tr.q = nil, queued{}
+	tr.next, e.freeTransits = e.freeTransits, tr
+	e.enqueue(t, q)
 }
 
 func (e *Executor) enqueue(t *task, q queued) {
@@ -387,18 +455,17 @@ func (e *Executor) enqueue(t *task, q queued) {
 		}
 		return
 	}
-	t.queue = append(t.queue, q)
+	t.queue.push(q)
 	t.queuedWeight += q.tuple.Weight
 	e.kick(t)
 }
 
 // kick starts the task's service loop if it is idle.
 func (e *Executor) kick(t *task) {
-	if t.busy || t.failed || len(t.queue) == 0 {
+	if t.busy || t.failed || t.queue.len() == 0 {
 		return
 	}
-	q := t.queue[0]
-	t.queue = t.queue[1:]
+	q := t.queue.pop()
 	t.queuedWeight -= q.tuple.Weight
 	if q.label != nil {
 		// The labeling tuple reached the head of the source task's queue:
@@ -419,11 +486,17 @@ func (e *Executor) kick(t *task) {
 	// cost and the window's weighted total by cost × weight.
 	q.tuple.Svc += cost
 	e.anatSvc += cost * simtime.Duration(q.tuple.Weight)
-	e.env.Clock().After(cost, func() { e.finish(t, q) })
+	t.serving = q
+	e.env.Clock().ScheduleAfter(cost, t)
 }
 
-// finish completes processing of one batch on task t.
-func (e *Executor) finish(t *task, q queued) {
+// Fire completes the batch in service (the task's own clock event).
+func (t *task) Fire() { t.ex.finish(t) }
+
+// finish completes processing of the batch task t has in service.
+func (e *Executor) finish(t *task) {
+	q := t.serving
+	t.serving = queued{}
 	t.busy = false
 	t.busyWeight = 0
 	if t.failed {
@@ -703,7 +776,7 @@ func (e *Executor) maybeFinishRemovals() {
 		if t == nil || !t.removed {
 			continue
 		}
-		if t.pendingReassigns == 0 && len(t.queue) == 0 && !t.busy && !e.ownsShards(t.id) {
+		if t.pendingReassigns == 0 && t.queue.len() == 0 && !t.busy && !e.ownsShards(t.id) {
 			e.tasks[i] = nil
 		}
 	}
@@ -864,7 +937,7 @@ func (e *Executor) Idle() bool {
 		return false
 	}
 	for _, t := range e.tasks {
-		if t != nil && (t.busy || len(t.queue) > 0) {
+		if t != nil && (t.busy || t.queue.len() > 0) {
 			return false
 		}
 	}

@@ -8,7 +8,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -58,94 +57,155 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
-// event is a scheduled callback.
+// Action is a unit of work scheduled on a Clock. Cold call sites pass a plain
+// func() through At/After; the per-tuple sites of the engine and executor
+// implement Action on records they own and reuse, so scheduling a tuple's next
+// step allocates nothing.
+type Action interface {
+	Fire()
+}
+
+// Func adapts a plain function to Action. A func value is pointer-shaped, so
+// the conversion to the interface does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is one scheduled action. Events live by value in the clock's heap and
+// fire in (at, seq) order; seq is unique, so the order is total and does not
+// depend on the heap's shape.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	act Action
 }
 
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+// heapArity is the branching factor of the event heap. Four children share
+// two cache lines and halve the depth of a binary heap, which is what a
+// sift-down over a few thousand pending events pays for.
+const heapArity = 4
 
 // Clock is a virtual clock driving a discrete-event simulation. The zero
 // value is not usable; construct with NewClock.
 type Clock struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event // heapArity-ary min-heap on (at, seq); grows on demand
 	stopped bool
 	// Processed counts events executed so far (for diagnostics and tests).
 	Processed uint64
 }
 
 // NewClock returns a clock at virtual time zero with an empty event queue.
-func NewClock() *Clock {
-	c := &Clock{}
-	heap.Init(&c.events)
-	return c
-}
+func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// At schedules fn to run at virtual time t. Scheduling in the past (t < Now)
-// is a programming error and panics: it would silently reorder causality.
-func (c *Clock) At(t Time, fn func()) {
+// Schedule queues a to fire at virtual time t. Scheduling in the past
+// (t < Now) is a programming error and panics: it would silently reorder
+// causality. The clock holds a until it fires; a record that recycles itself
+// may do so from inside Fire.
+func (c *Clock) Schedule(t Time, a Action) {
 	if t < c.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", t, c.now))
 	}
 	c.seq++
-	heap.Push(&c.events, &event{at: t, seq: c.seq, fn: fn})
+	ev := event{at: t, seq: c.seq, act: a}
+	h := append(c.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	c.events = h
 }
 
-// After schedules fn to run d after the current virtual time. Negative d is
-// clamped to zero.
-func (c *Clock) After(d Duration, fn func()) {
+// ScheduleAfter queues a to fire d after the current virtual time. Negative d
+// is clamped to zero.
+func (c *Clock) ScheduleAfter(d Duration, a Action) {
 	if d < 0 {
 		d = 0
 	}
-	c.At(c.now.Add(d), fn)
+	c.Schedule(c.now.Add(d), a)
+}
+
+// At schedules fn to run at virtual time t; see Schedule.
+func (c *Clock) At(t Time, fn func()) { c.Schedule(t, Func(fn)) }
+
+// After schedules fn to run d after the current virtual time. Negative d is
+// clamped to zero.
+func (c *Clock) After(d Duration, fn func()) { c.ScheduleAfter(d, Func(fn)) }
+
+// pop removes and returns the earliest event.
+func (c *Clock) pop() event {
+	h := c.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // the vacated slot must not keep the action reachable
+	h = h[:n]
+	c.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		least := first
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		for child := first + 1; child < end; child++ {
+			if h[child].before(&h[least]) {
+				least = child
+			}
+		}
+		if !h[least].before(&last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = last
+	return top
 }
 
 // Stop aborts a running Run/RunUntil after the current event returns.
 func (c *Clock) Stop() { c.stopped = true }
 
 // Pending reports the number of queued events.
-func (c *Clock) Pending() int { return c.events.Len() }
+func (c *Clock) Pending() int { return len(c.events) }
 
 // RunUntil executes events in order until the queue is empty, the clock is
 // stopped, or the next event is strictly after limit. The clock is advanced
 // to limit when the run is exhausted by the time bound, so Now() == limit.
 func (c *Clock) RunUntil(limit Time) {
 	c.stopped = false
-	for c.events.Len() > 0 && !c.stopped {
-		next := c.events[0]
-		if next.at > limit {
+	for len(c.events) > 0 && !c.stopped {
+		if c.events[0].at > limit {
 			break
 		}
-		heap.Pop(&c.events)
-		c.now = next.at
+		// The event is copied out of its slot before it fires: firing may
+		// schedule, which moves slots and can reallocate the slice.
+		ev := c.pop()
+		c.now = ev.at
 		c.Processed++
-		next.fn()
+		ev.act.Fire()
 	}
 	if !c.stopped && limit < MaxTime && c.now < limit {
 		c.now = limit
