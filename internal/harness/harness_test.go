@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/golden"
@@ -143,6 +144,9 @@ func TestErrorSkipsLaterTrials(t *testing.T) {
 			if ctx.Index == 0 {
 				return 0, errors.New("early failure")
 			}
+			// Trials that cost nothing let whichever worker starts first
+			// drain all 64 before the other has reported the failure.
+			time.Sleep(time.Millisecond)
 			return 0, nil
 		})
 	if err == nil {
