@@ -107,3 +107,39 @@ func TestDeliveryRecordsRecycleClean(t *testing.T) {
 			e.clock.Pending(), len(parked), e.deliveries)
 	}
 }
+
+// TestResetShardLoadsKeepsPreviousWindow pins the double-buffer contract the
+// rc controller relies on: the slice a reader captured before a reset stays
+// intact for one window, and the reset after that recycles it.
+func TestResetShardLoadsKeepsPreviousWindow(t *testing.T) {
+	e, err := New(microConfig(ResourceCentric, 1000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := e.opOrder[0]
+	captured := rt.ShardLoads()
+	captured[3], captured[7] = 5, 9
+
+	rt.ResetShardLoads()
+	if captured[3] != 5 || captured[7] != 9 {
+		t.Fatalf("captured window changed by the reset: %v %v", captured[3], captured[7])
+	}
+	fresh := rt.ShardLoads()
+	if &fresh[0] == &captured[0] || len(fresh) != len(captured) {
+		t.Fatal("reset did not switch to the other buffer")
+	}
+	for s, v := range fresh {
+		if v != 0 {
+			t.Fatalf("fresh window not zero at shard %d: %v", s, v)
+		}
+	}
+
+	fresh[1] = 2
+	rt.ResetShardLoads()
+	if again := rt.ShardLoads(); &again[0] != &captured[0] || again[3] != 0 || again[7] != 0 {
+		t.Fatal("second reset did not clear and reuse the first buffer")
+	}
+	if fresh[1] != 2 {
+		t.Fatal("second reset touched the window it just closed")
+	}
+}

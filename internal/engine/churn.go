@@ -109,7 +109,7 @@ func (e *Engine) DrainNode(n cluster.NodeID) error {
 	}
 	rescued := make(map[slot]bool)
 	retireByOp := make(map[*opRuntime][]int)
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		survives := false
 		for i := range rt.execs {
 			for _, c := range rt.cores[i] {
@@ -130,7 +130,7 @@ func (e *Engine) DrainNode(n cluster.NodeID) error {
 		}
 		rescued[slot{rt, 0}] = true
 	}
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		retire := retireByOp[rt]
 		for i := range rt.execs {
 			if rescued[slot{rt, i}] {
@@ -159,7 +159,7 @@ func (e *Engine) FailNode(n cluster.NodeID) error {
 	}
 	delete(e.freeCores, n)
 	e.relocateSources(n)
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		var retire []int
 		for i, ex := range rt.execs {
 			var keep []cluster.CoreID
@@ -220,7 +220,7 @@ func (e *Engine) preflightRemoval(n cluster.NodeID, graceful bool) error {
 		}
 	}
 	needRescue := 0
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		survivors := 0
 		for i := range rt.execs {
 			elsewhere := false
@@ -343,7 +343,7 @@ func (e *Engine) footholdCore(avoid cluster.NodeID) (cluster.CoreID, bool) {
 	var donorRt *opRuntime
 	donorIdx, donorUsable := -1, 1
 	var donated cluster.CoreID
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		for i := range rt.execs {
 			usable := 0
 			var last cluster.CoreID
@@ -496,7 +496,7 @@ func (e *Engine) retireExecutors(rt *opRuntime, idxs []int, graceful bool) {
 func (e *Engine) rebuildElastic() {
 	e.elastic = e.elastic[:0]
 	e.elasticOp = e.elasticOp[:0]
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		for _, ex := range rt.execs {
 			e.elastic = append(e.elastic, ex)
 			e.elasticOp = append(e.elasticOp, rt)

@@ -51,16 +51,9 @@ func (h *host) Now() simtime.Time { return (*Engine)(h).clock.Now() }
 // Every schedules fn at each multiple of interval.
 func (h *host) Every(interval simtime.Duration, fn func()) { (*Engine)(h).Every(interval, fn) }
 
-// Operators lists the non-source operator runtimes in topology order.
-func (h *host) Operators() []policy.Operator {
-	e := (*Engine)(h)
-	rts := e.opsInOrder()
-	out := make([]policy.Operator, len(rts))
-	for i, rt := range rts {
-		out[i] = rt
-	}
-	return out
-}
+// Operators lists the non-source operator runtimes in topology order. The
+// slice is the engine's; callers must not modify it.
+func (h *host) Operators() []policy.Operator { return (*Engine)(h).polOps }
 
 // RebalanceAll runs the §3.1 intra-executor load balancer on every elastic
 // executor, using the loads accumulated in the current measurement window.
@@ -225,7 +218,7 @@ func (e *Engine) existingMatrix() [][]int {
 		x[i] = make([]int, m)
 	}
 	j := 0
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		for i := range rt.execs {
 			for _, core := range rt.cores[i] {
 				x[e.cluster.NodeOf(core)][j]++
@@ -234,18 +227,6 @@ func (e *Engine) existingMatrix() [][]int {
 		}
 	}
 	return x
-}
-
-// opsInOrder iterates operators deterministically (topology order) so that
-// elastic executor indexing is stable.
-func (e *Engine) opsInOrder() []*opRuntime {
-	var out []*opRuntime
-	for _, op := range e.cfg.Topology.Operators() {
-		if rt := e.ops[op.ID]; rt != nil {
-			out = append(out, rt)
-		}
-	}
-	return out
 }
 
 // executorStateBytes returns the aggregate state size s_j of elastic
@@ -264,7 +245,7 @@ func (e *Engine) applyAssignment(x [][]int) {
 		idx int
 	}
 	var slots []slot
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		for i := range rt.execs {
 			slots = append(slots, slot{rt, i})
 		}

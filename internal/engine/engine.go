@@ -191,9 +191,13 @@ type opRuntime struct {
 	// Dynamic-routing state (placements with Placement.DynamicRouting).
 	opRouting   []int     // operator shard → executor index
 	opShardLoad []float64 // arrivals per operator shard in current window
-	paused      bool
-	pauseBuf    []pendingTuple
-	repartition *rcRepartition
+	// prevShardLoad is the previous window's slice (nil before the first
+	// reset): ResetShardLoads swaps the two, so a reader that captured the old
+	// window keeps it intact until the reset after next.
+	prevShardLoad []float64
+	paused        bool
+	pauseBuf      []pendingTuple
+	repartition   *rcRepartition
 
 	// Live-observation counters (Run-handle snapshots and the per-operator
 	// report): cumulative tuple weight admitted toward / processed by this
@@ -210,8 +214,11 @@ type opRuntime struct {
 	// winRPStall collects §3.3 pause stall × weight attributed at replay time;
 	// anatTotals are the cumulative post-warm-up per-stage totals; lastHopP50/
 	// lastHopP99 hold the last non-empty window's hop-latency percentiles
-	// (the Snapshot surface).
+	// (the Snapshot surface). hopWin is the fold's scratch: one metrics
+	// window's hop latencies merged from the operator's executors, reset on
+	// every tick.
 	winRPStall simtime.Duration
+	hopWin     *metrics.Histogram
 	anatTotals [metrics.NumStages]simtime.Duration
 	lastHopP50 simtime.Duration
 	lastHopP99 simtime.Duration
@@ -232,10 +239,15 @@ func (rt *opRuntime) Routing() []int { return rt.opRouting }
 // ShardLoads returns arrivals per operator shard in the current window.
 func (rt *opRuntime) ShardLoads() []float64 { return rt.opShardLoad }
 
-// ResetShardLoads starts a fresh measurement window. The previous slice is
-// left intact for readers that captured it.
+// ResetShardLoads starts a fresh measurement window. The previous window's
+// slice is left intact for readers that captured it, for one window: the
+// reset after this one clears it and puts it back into use.
 func (rt *opRuntime) ResetShardLoads() {
-	rt.opShardLoad = make([]float64, len(rt.opShardLoad))
+	if len(rt.prevShardLoad) != len(rt.opShardLoad) {
+		rt.prevShardLoad = make([]float64, len(rt.opShardLoad))
+	}
+	rt.opShardLoad, rt.prevShardLoad = rt.prevShardLoad, rt.opShardLoad
+	clear(rt.opShardLoad)
 }
 
 // Repartitioning reports whether a global repartition is in flight.
@@ -258,8 +270,13 @@ type Engine struct {
 	cluster *cluster.Cluster
 	rng     *simtime.Rand
 
-	sources   map[stream.OperatorID][]*sourceInstance
-	ops       map[stream.OperatorID]*opRuntime
+	sources map[stream.OperatorID][]*sourceInstance
+	ops     map[stream.OperatorID]*opRuntime
+	// opOrder lists the operator runtimes in topology order and polOps is the
+	// same list as the policy sees it. Both are fixed at placement: churn
+	// retires executors, never operators.
+	opOrder   []*opRuntime
+	polOps    []policy.Operator
 	elastic   []*executor.Executor // all executors of non-source operators
 	elasticOp []*opRuntime         // parallel: owning op of each elastic executor
 	freeCores map[cluster.NodeID][]cluster.CoreID
@@ -465,7 +482,7 @@ func (e *Engine) placeExecutors() error {
 	knobs := e.knobs()
 	for idx, op := range nonSource {
 		pl := e.pol.Place(knobs, op, idx, len(nonSource), freeTotal)
-		rt := &opRuntime{op: op, firstHop: e.isFirstHop(op), opSharded: pl.OperatorSharded}
+		rt := &opRuntime{op: op, firstHop: e.isFirstHop(op), opSharded: pl.OperatorSharded, hopWin: metrics.NewHistogram()}
 		count := pl.Executors
 		if count < 1 {
 			count = 1
@@ -502,6 +519,8 @@ func (e *Engine) placeExecutors() error {
 			rt.opShardLoad = make([]float64, e.cfg.OpShards)
 		}
 		e.ops[op.ID] = rt
+		e.opOrder = append(e.opOrder, rt)
+		e.polOps = append(e.polOps, rt)
 		for _, ex := range rt.execs {
 			e.elastic = append(e.elastic, ex)
 			e.elasticOp = append(e.elasticOp, rt)
@@ -685,20 +704,17 @@ func (e *Engine) startSeriesSampling() {
 // During warm-up the windows are drained and discarded, so the totals cover
 // the measured span only — like every other post-warm-up metric.
 func (e *Engine) foldAnatomy(warm bool) {
-	for _, rt := range e.opsInOrder() {
-		hop := metrics.NewHistogram()
+	for _, rt := range e.opOrder {
+		hop := rt.hopWin
+		hop.Reset()
 		var svc, mg simtime.Duration
 		for _, ex := range rt.execs {
-			a := ex.TakeAnatomy()
-			hop.Merge(a.Hop)
-			svc += a.Svc
-			mg += a.MGStall
+			s, m := ex.TakeAnatomy(hop)
+			svc, mg = svc+s, mg+m
 		}
 		for _, ex := range rt.retiredExecs {
-			a := ex.TakeAnatomy()
-			hop.Merge(a.Hop)
-			svc += a.Svc
-			mg += a.MGStall
+			s, m := ex.TakeAnatomy(hop)
+			svc, mg = svc+s, mg+m
 		}
 		rp := rt.winRPStall
 		rt.winRPStall = 0
@@ -742,7 +758,7 @@ func (e *Engine) finishReport(d simtime.Duration) {
 		e.r.MigrationTimeTotal += st.MigrationTimeTotal
 		e.r.Dropped += st.DroppedTuples
 	}
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		os := OperatorStats{
 			Name:      rt.op.Name,
 			Executors: len(rt.execs),

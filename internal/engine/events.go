@@ -383,7 +383,7 @@ func (e *Engine) Snapshot() Snapshot {
 	if s.TotalCores > 0 {
 		s.Utilization = float64(s.UsedCores) / float64(s.TotalCores)
 	}
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		os := OperatorSnapshot{
 			Name:      rt.op.Name,
 			Executors: len(rt.execs),

@@ -36,7 +36,7 @@ func (e *Engine) ElasticExecutors() []*executor.Executor { return e.elastic }
 // name (the backend-conformance suite compares these across backends).
 func (e *Engine) ExecutorCounts() map[string]int {
 	out := make(map[string]int, len(e.ops))
-	for _, rt := range e.opsInOrder() {
+	for _, rt := range e.opOrder {
 		out[rt.op.Name] = len(rt.execs)
 	}
 	return out

@@ -882,28 +882,23 @@ func (e *Executor) TakeWindow() Window {
 	e.winArrived, e.winProcessed = 0, 0
 	e.winBusy = 0
 	e.winInBytes, e.winOutBytes = 0, 0
-	e.winShardLoad = make(map[state.ShardID]float64)
+	clear(e.winShardLoad)
 	e.winStart = now
 	return w
 }
 
-// Anatomy is one latency-anatomy window of an executor: the hop-latency
-// histogram (admission stamp to processed) and the weighted stage totals the
-// engine folds into per-operator stage sets at the metrics window tick.
-type Anatomy struct {
-	Hop     *metrics.Histogram // source-to-processed hop latency this window
-	Svc     simtime.Duration   // Σ service duration × weight
-	MGStall simtime.Duration   // Σ shard-pause stall × weight
-}
-
-// TakeAnatomy returns the latency-anatomy measurements since the previous
-// call and resets them. Independent of TakeWindow: anatomy folds on the
+// TakeAnatomy drains the executor's latency-anatomy window: it merges the
+// hop-latency histogram (admission stamp to processed) into hop, returns the
+// weighted stage totals Σ service × weight and Σ shard-pause stall × weight,
+// and resets all three. The engine folds these into per-operator stage sets
+// at the metrics window tick. Independent of TakeWindow: anatomy folds on the
 // metrics window tick, the scheduler window on the control cadence.
-func (e *Executor) TakeAnatomy() Anatomy {
-	a := Anatomy{Hop: e.anatHop, Svc: e.anatSvc, MGStall: e.anatMGStall}
-	e.anatHop = metrics.NewHistogram()
+func (e *Executor) TakeAnatomy(hop *metrics.Histogram) (svc, mgStall simtime.Duration) {
+	hop.Merge(e.anatHop)
+	e.anatHop.Reset()
+	svc, mgStall = e.anatSvc, e.anatMGStall
 	e.anatSvc, e.anatMGStall = 0, 0
-	return a
+	return svc, mgStall
 }
 
 // ShardLoadSnapshot returns the current window's per-shard load (for tests).
