@@ -54,7 +54,8 @@ type (
 	Key = stream.Key
 	// Tuple is one unit of data (possibly a weighted batch).
 	Tuple = stream.Tuple
-	// State is the per-key state accessor handed to bolt handlers.
+	// State is the per-key state accessor handed to bolt handlers; it is
+	// valid only during the handler call it was passed to.
 	State = stream.StateAccessor
 	// Time is a point in virtual time.
 	Time = simtime.Time

@@ -29,6 +29,7 @@ type shardData struct {
 type stripe struct {
 	mu     sync.Mutex
 	shards map[state.ShardID]*shardData
+	acc    rtAccessor // the stripe's one accessor, rebound per tuple under mu
 }
 
 // worker is one core grant: a goroutine bound to a node, pulling from the
@@ -438,19 +439,23 @@ func (st *stripe) shard(x *exec, s state.ShardID) *shardData {
 	return d
 }
 
-// accessor implements stream.StateAccessor over the striped map. The stripe
-// lock is held for the whole handler invocation.
+// rtAccessor implements stream.StateAccessor over the striped map.
 type rtAccessor struct {
 	d *shardData
 	k stream.Key
 }
 
+// accessor rebinds the stripe's accessor to (s, k) and hands out its pointer,
+// so the per-tuple handler call boxes nothing. The stripe lock is held for
+// the whole handler invocation, which is as long as the accessor is valid
+// (stream.StateAccessor).
 func (st *stripe) accessor(x *exec, s state.ShardID, k stream.Key) stream.StateAccessor {
-	return rtAccessor{d: st.shard(x, s), k: k}
+	st.acc = rtAccessor{d: st.shard(x, s), k: k}
+	return &st.acc
 }
 
-func (a rtAccessor) Get() interface{}  { return a.d.keys[a.k] }
-func (a rtAccessor) Set(v interface{}) { a.d.keys[a.k] = v }
+func (a *rtAccessor) Get() interface{}  { return a.d.keys[a.k] }
+func (a *rtAccessor) Set(v interface{}) { a.d.keys[a.k] = v }
 
 // stateBytes returns the executor's resident state size: nominal bytes for
 // every shard materialized so far.

@@ -37,6 +37,8 @@ type Store struct {
 	// DefaultShardBytes is the nominal size a shard reports if it was never
 	// given an explicit size (operators configure StatePerShard).
 	DefaultShardBytes int
+
+	acc accessor // the store's one accessor, rebound by every Accessor call
 }
 
 // NewStore returns an empty process-local store.
@@ -69,9 +71,14 @@ func (s *Store) ShardBytes(id ShardID) int {
 // SetShardBytes overrides the nominal size of shard id.
 func (s *Store) SetShardBytes(id ShardID, bytes int) { s.shard(id).bytes = bytes }
 
-// Accessor returns a stream.StateAccessor bound to (shard, key).
+// Accessor returns a stream.StateAccessor bound to (shard, key). It is the
+// store's single accessor, rebound: the next Accessor call on the same store
+// redirects it, so it is valid only until then — the duration of one handler
+// invocation on the simulator's single thread (stream.StateAccessor). Handing
+// out its pointer keeps the per-tuple handler call free of boxing.
 func (s *Store) Accessor(id ShardID, k stream.Key) stream.StateAccessor {
-	return accessor{store: s, shard: id, key: k}
+	s.acc = accessor{store: s, shard: id, key: k}
+	return &s.acc
 }
 
 type accessor struct {
@@ -80,7 +87,7 @@ type accessor struct {
 	key   stream.Key
 }
 
-func (a accessor) Get() interface{} {
+func (a *accessor) Get() interface{} {
 	sh := a.store.shards[a.shard]
 	if sh == nil {
 		return nil
@@ -92,7 +99,7 @@ func (a accessor) Get() interface{} {
 	return ks.value
 }
 
-func (a accessor) Set(v interface{}) {
+func (a *accessor) Set(v interface{}) {
 	sh := a.store.shard(a.shard)
 	ks := sh.keys[a.key]
 	if ks == nil {

@@ -126,3 +126,25 @@ func TestMigrationPreservesAllWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAccessorIsReboundNotBoxed pins the accessor contract: a store hands out
+// its one accessor rebound to the requested slot (so a handler call allocates
+// nothing), which is why an accessor is only valid until the next one is
+// taken from the same store.
+func TestAccessorIsReboundNotBoxed(t *testing.T) {
+	s := NewStore(1024)
+	s.Accessor(1, stream.Key(1)).Set("a")
+	s.Accessor(2, stream.Key(2)).Set("b")
+
+	first := s.Accessor(1, stream.Key(1))
+	second := s.Accessor(2, stream.Key(2))
+	if first != second {
+		t.Fatal("Accessor handed out two distinct accessors for one store")
+	}
+	if got := first.Get(); got != "b" {
+		t.Fatalf("retained accessor reads %v: it should have been rebound to the second slot", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Accessor(1, stream.Key(1)).Get() }); allocs != 0 {
+		t.Fatalf("Accessor allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -104,7 +104,9 @@ func FixedCost(d simtime.Duration) CostModel {
 type Handler func(t Tuple, state StateAccessor) []Tuple
 
 // StateAccessor gives a handler read/write access to the state of the key
-// currently being processed.
+// currently being processed. It is valid only for the duration of the handler
+// invocation it was passed to: both backends rebind one accessor per state
+// partition for every tuple, so a handler must not retain it.
 type StateAccessor interface {
 	// Get returns the state value for the current key, or nil.
 	Get() interface{}
