@@ -19,7 +19,8 @@
 // admission and routing benches; full-experiment rows run once and are too
 // noisy): any ns/op more than -threshold (default 20%) above the baseline is
 // flagged as a REGRESSION and the exit code is 2, the ROADMAP's
-// perf-trajectory tripwire.
+// perf-trajectory tripwire. The same gate holds the benches listed in
+// allocFree to 0 allocs/op, whatever the baseline recorded.
 package main
 
 import (
@@ -117,6 +118,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		regressions += checkAllocFree(results)
 	}
 	if *smoke {
 		fmt.Fprintf(os.Stderr, "bench: smoke OK, %d benchmarks ran\n", len(results))
@@ -145,6 +147,24 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "bench: wrote %s (%d benchmarks)\n", *out, len(results))
 	exitOnRegressions(regressions)
+}
+
+// allocFree names the benches whose steady state must not allocate: a
+// nonzero allocs/op in a -compare run counts as a regression. The simulator's
+// event kernel is on the list because every tuple costs three events — one
+// allocation per event is the 6–8 allocations per tuple PR 12 removed.
+var allocFree = []string{"BenchmarkComponentClockEvents"}
+
+// checkAllocFree returns how many allocFree benches of this run allocated.
+func checkAllocFree(current map[string]Result) int {
+	bad := 0
+	for _, name := range allocFree {
+		if r, ok := current[name]; ok && r.AllocsPerOp != 0 {
+			fmt.Printf("%-44s %12d allocs/op  want 0  REGRESSION\n", name, r.AllocsPerOp)
+			bad++
+		}
+	}
+	return bad
 }
 
 func exitOnRegressions(n int) {
