@@ -168,8 +168,8 @@ type sourceInstance struct {
 	// are already spoken for; the churn's capacity hit is the lost node).
 	freeRide bool
 
-	// The emission loop's parameters (startSources): the instance is the
-	// recurring clock event of its own loop.
+	// The emission loop's parameters: the instance is the recurring clock
+	// event of its own loop.
 	e     *Engine
 	drv   *SourceDriver
 	share float64 // instances of the operator, the divisor of its offered rate
@@ -454,7 +454,10 @@ func (e *Engine) placeSources() error {
 					}
 				}
 			}
-			e.sources[op.ID] = append(e.sources[op.ID], &sourceInstance{op: op, node: node})
+			e.sources[op.ID] = append(e.sources[op.ID], &sourceInstance{
+				op: op, node: node,
+				e: e, drv: e.cfg.Sources[op.ID], share: float64(e.cfg.SourceExecutors),
+			})
 		}
 	}
 	return nil

@@ -11,11 +11,7 @@ import (
 // topology order so event sequence numbers never depend on map iteration.
 func (e *Engine) startSources() {
 	for _, op := range e.cfg.Topology.Sources() {
-		instances := e.sources[op.ID]
-		for i, inst := range instances {
-			inst.e = e
-			inst.drv = e.cfg.Sources[op.ID]
-			inst.share = float64(len(instances))
+		for i, inst := range e.sources[op.ID] {
 			// Offset start times so instances interleave deterministically.
 			start := simtime.Duration(i) * simtime.Microsecond
 			e.clock.ScheduleAfter(start, inst)

@@ -19,8 +19,8 @@
 // admission and routing benches; full-experiment rows run once and are too
 // noisy): any ns/op more than -threshold (default 20%) above the baseline is
 // flagged as a REGRESSION and the exit code is 2, the ROADMAP's
-// perf-trajectory tripwire. The same gate holds the benches listed in
-// allocFree to 0 allocs/op, whatever the baseline recorded.
+// perf-trajectory tripwire. The same gate holds the allocFree bench to
+// 0 allocs/op, whatever the baseline recorded.
 package main
 
 import (
@@ -149,22 +149,20 @@ func main() {
 	exitOnRegressions(regressions)
 }
 
-// allocFree names the benches whose steady state must not allocate: a
-// nonzero allocs/op in a -compare run counts as a regression. The simulator's
-// event kernel is on the list because every tuple costs three events — one
-// allocation per event is the 6–8 allocations per tuple PR 12 removed.
-var allocFree = []string{"BenchmarkComponentClockEvents"}
+// allocFree is the bench whose steady state must not allocate: a nonzero
+// allocs/op in a -compare run counts as a regression. The simulator pays
+// three clock events per tuple, so one allocation per event is most of the
+// 6–8 allocations per tuple PR 12 removed.
+const allocFree = "BenchmarkComponentClockEvents"
 
-// checkAllocFree returns how many allocFree benches of this run allocated.
+// checkAllocFree returns 1 if this run ran allocFree and it allocated.
 func checkAllocFree(current map[string]Result) int {
-	bad := 0
-	for _, name := range allocFree {
-		if r, ok := current[name]; ok && r.AllocsPerOp != 0 {
-			fmt.Printf("%-44s %12d allocs/op  want 0  REGRESSION\n", name, r.AllocsPerOp)
-			bad++
-		}
+	r, ok := current[allocFree]
+	if !ok || r.AllocsPerOp == 0 {
+		return 0
 	}
-	return bad
+	fmt.Printf("%-44s %12d allocs/op  want 0  REGRESSION\n", allocFree, r.AllocsPerOp)
+	return 1
 }
 
 func exitOnRegressions(n int) {
