@@ -19,7 +19,7 @@ import (
 // geometrically so that relative error is bounded (~5%) across nine orders of
 // magnitude, from 1 µs to ~1000 s.
 type Histogram struct {
-	buckets []uint64
+	buckets []uint64 // allocated by the first sample, not by NewHistogram: an engine build makes one per executor
 	count   uint64
 	sum     float64          // seconds (Mean keeps its historical float path)
 	total   simtime.Duration // exact Σ sample × weight (Sum; stage tiling)
@@ -35,7 +35,7 @@ const (
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{buckets: make([]uint64, histBucketCount), min: math.MaxInt64}
+	return &Histogram{min: math.MaxInt64}
 }
 
 func bucketOf(d simtime.Duration) int {
@@ -63,6 +63,9 @@ func bucketUpper(b int) simtime.Duration {
 func (h *Histogram) Observe(d simtime.Duration, weight int) {
 	if d < 0 {
 		d = 0
+	}
+	if h.buckets == nil {
+		h.buckets = make([]uint64, histBucketCount)
 	}
 	h.buckets[bucketOf(d)] += uint64(weight)
 	h.count += uint64(weight)
@@ -166,19 +169,23 @@ func (h *Histogram) Clone() *Histogram {
 
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
+	if other.count == 0 {
+		return
+	}
+	if h.buckets == nil {
+		h.buckets = make([]uint64, histBucketCount)
+	}
 	for b, n := range other.buckets {
 		h.buckets[b] += n
 	}
 	h.count += other.count
 	h.sum += other.sum
 	h.total += other.total
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
+	if other.min < h.min {
+		h.min = other.min
+	}
+	if other.max > h.max {
+		h.max = other.max
 	}
 }
 

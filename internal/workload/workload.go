@@ -42,18 +42,43 @@ func (z *Zipf) buildGuide() {
 	} else {
 		z.guide = make([]int32, g+1)
 	}
-	r := 0
-	for i := 0; i <= g; i++ {
-		edge := float64(i) / float64(g)
-		for r < len(z.cdf) && z.cdf[r] < edge {
-			r++
+	// Rank by rank rather than bucket by bucket: rank r is the answer for
+	// every bucket whose left edge lies in (cdf[r-1], cdf[r]], so one multiply
+	// per rank finds where its run of buckets ends — a quarter of the work of
+	// dividing out every bucket's edge, on a table every engine build makes.
+	i := 0
+	for r, c := range z.cdf {
+		for last := lastEdgeAtMost(c, g); i <= last; i++ {
+			z.guide[i] = int32(r)
 		}
-		if r == len(z.cdf) {
-			z.guide[i] = int32(len(z.cdf) - 1)
-			continue
-		}
-		z.guide[i] = int32(r)
 	}
+	for ; i <= g; i++ {
+		z.guide[i] = int32(len(z.cdf) - 1)
+	}
+}
+
+// lastEdgeAtMost returns the largest bucket i in [0, g] whose left edge
+// float64(i)/float64(g) is at most c (c >= 0). c*g lands within g ulps of the
+// true product, so unless it is that close to an integer its floor is the
+// answer; otherwise the edge comparison itself, exactly as Sample's scan
+// evaluates it, settles which side the bucket falls on.
+func lastEdgeAtMost(c float64, g int) int {
+	gf := float64(g)
+	t := c * gf
+	if t >= gf {
+		t = gf
+	}
+	i := int(t)
+	if frac := t - float64(i); frac > 1e-6 && frac < 1-1e-6 {
+		return i
+	}
+	for i < g && float64(i+1)/gf <= c {
+		i++
+	}
+	for i > 0 && float64(i)/gf > c {
+		i--
+	}
+	return i
 }
 
 // NewZipf builds a sampler over n keys with skew s, seeded deterministically.

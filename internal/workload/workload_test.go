@@ -217,3 +217,34 @@ func TestRateFuncs(t *testing.T) {
 		t.Fatalf("SineRate should clamp at 0, got %v", v)
 	}
 }
+
+// TestGuideMatchesDefinition checks the rank-driven guide construction
+// against the definition it accelerates — guide[i] is the first rank whose
+// CDF reaches bucket i's left edge i/g — over profiles whose CDF lands
+// exactly on bucket edges (uniform), far from them, and on a single rank.
+func TestGuideMatchesDefinition(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{1, 0.5}, {2, 0}, {3, 1}, {64, 0}, {100, 0}, {1000, 0.5}, {2500, 0.75}, {10000, 0.5}, {10000, 2}, {4096, 0}} {
+		z := NewZipf(tc.n, tc.s, simtime.NewRand(1))
+		g := len(z.guide) - 1
+		if g != tc.n*guidePerRank {
+			t.Fatalf("n=%d: guide has %d buckets, want %d", tc.n, g, tc.n*guidePerRank)
+		}
+		r := 0
+		for i := 0; i <= g; i++ {
+			edge := float64(i) / float64(g)
+			for r < tc.n && z.cdf[r] < edge {
+				r++
+			}
+			want := r
+			if want == tc.n {
+				want = tc.n - 1
+			}
+			if int(z.guide[i]) != want {
+				t.Fatalf("n=%d s=%v: guide[%d] = %d, want %d", tc.n, tc.s, i, z.guide[i], want)
+			}
+		}
+	}
+}
