@@ -184,16 +184,7 @@ func TestRepartitionProtocol(t *testing.T) {
 	if before == nil {
 		t.Fatal("rc operator has no routing table")
 	}
-	// Move two shards owned by executor 0 to executor 1, mid-run.
-	var moves []balancer.Move
-	for s, owner := range before {
-		if owner == 0 {
-			moves = append(moves, balancer.Move{Shard: s, From: 0, To: 1})
-			if len(moves) == 2 {
-				break
-			}
-		}
-	}
+	moves := twoMovesFrom0(before)
 	rt.AtVirtual(2*simtime.Second, func() { rt.startRepartition(o, moves) })
 	r, err := rt.Run(quickSpec().Duration())
 	if err != nil {
@@ -217,4 +208,18 @@ func TestRepartitionProtocol(t *testing.T) {
 	if !rt.Ledger().Conserved() {
 		t.Errorf("ledger not conserved across repartition: %v", rt.Ledger())
 	}
+}
+
+// twoMovesFrom0 moves the first two shards executor 0 owns to executor 1.
+func twoMovesFrom0(routing []int) []balancer.Move {
+	var moves []balancer.Move
+	for s, owner := range routing {
+		if owner == 0 {
+			moves = append(moves, balancer.Move{Shard: s, From: 0, To: 1})
+			if len(moves) == 2 {
+				break
+			}
+		}
+	}
+	return moves
 }

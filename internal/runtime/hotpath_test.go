@@ -49,7 +49,11 @@ func TestStripedCounterFold(t *testing.T) {
 // delivered under pause must land in the pause buffer whole — admitted,
 // nothing in flight — and the replay after unpause must re-route it against
 // the live table preserving per-executor arrival order, with every tuple
-// accounted for.
+// accounted for. It then checks the protocol at saturation, where sources
+// hold executors closed for lack of credit while snapshots are swapped: a
+// closed flag must not outlive the executor set it was indexed against, and
+// a saturated run across a repartition must keep its ledger and keep
+// processing.
 func TestRepartitionUnderBatching(t *testing.T) {
 	rt, _, err := BuildScenario(quickSpec(), "rc", 42, quickOpts())
 	if err != nil {
@@ -137,6 +141,72 @@ func TestRepartitionUnderBatching(t *testing.T) {
 	}
 	if got := o.inflight.Load(); got != 0 {
 		t.Fatalf("inflight after drain = %d, want 0", got)
+	}
+
+	closedFlagsFollowExecutorSet(t)
+
+	// Saturated: offered about three times the seven executors' capacity
+	// (50 µs a tuple), a mid-run repartition swaps the snapshot while the
+	// source is being refused credit. The modelled cost keeps the executors,
+	// not the source loop, the bottleneck even under the race detector; the
+	// short drain bounds the wall time the replayed pause buffer can add.
+	sat, err := New(rcMicroConfig(t, 4e5, 50*simtime.Microsecond, 1),
+		Options{Clock: RealClock(), DrainTimeout: 200 * time.Millisecond, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := sat.opOrder[0]
+	moves := twoMovesFrom0(so.snap.Load().routing)
+	sat.AtVirtual(simtime.Duration(50*time.Millisecond), func() { sat.startRepartition(so, moves) })
+	r, err := sat.Run(simtime.Duration(150 * time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Repartitions < 1 {
+		t.Fatalf("saturated run repartitioned %d times, want >= 1", r.Repartitions)
+	}
+	led := sat.Ledger()
+	if !led.Conserved() {
+		t.Fatalf("saturated ledger not conserved across repartition: %v", led)
+	}
+	if led.Processed == 0 {
+		t.Fatalf("saturated run processed nothing: %v", led)
+	}
+	if led.Blocked == 0 {
+		t.Fatalf("saturated run blocked nothing: backpressure never engaged: %v", led)
+	}
+}
+
+// closedFlagsFollowExecutorSet closes executor index 0 at the source, then
+// publishes a snapshot that puts a different executor at that index (as a
+// retirement re-indexes survivors) with load inside the reopen margin. That
+// executor was never refused, so it must take tuples up to its credit; a
+// closed flag carried over from the superseded set would shut it out.
+func closedFlagsFollowExecutorSet(t *testing.T) {
+	t.Helper()
+	e, s, o := idleSource(t, 4096, 1)
+	snap := o.snap.Load()
+	a, b := snap.execs[0], snap.execs[1]
+	a.queuedW.Add(e.creditW)
+	s.emitBatch(2000)
+	if a.blockedW.Load() == 0 {
+		t.Fatal("executor 0 was never refused")
+	}
+	for _, x := range snap.execs {
+		drainQueue(o, x, nil)
+	}
+	a.queuedW.Add(-e.creditW)
+
+	swapped := append([]*exec{b, a}, snap.execs[2:]...)
+	o.snap.Store(newOpSnap(swapped, snap.routing))
+	const room = 64 // inside the one-flush reopen margin
+	b.queuedW.Add(e.creditW - room)
+	s.emitBatch(4000)
+	if got := total(drainQueue(o, b, nil)); got != room {
+		t.Fatalf("executor now at index 0 took %d tuples, want its remaining credit %d", got, room)
+	}
+	for _, x := range swapped {
+		drainQueue(o, x, nil)
 	}
 }
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	goruntime "runtime"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/simtime"
@@ -21,8 +22,8 @@ const traceEvery = 8
 
 // srcDst is the source's per-destination routing scratch, reused tick to
 // tick: one pending (not yet flushed) tuple group per destination executor,
-// plus the blocked-weight accumulator folded into the executor counters once
-// per tick.
+// the blocked-weight accumulator folded into the executor counters once per
+// tick, and the closed flags of executors refused for lack of credit.
 type srcDst struct {
 	o       *op
 	snap    *opSnap          // destination snapshot, re-read each tick
@@ -31,11 +32,16 @@ type srcDst struct {
 	groups  [][]stream.Tuple // per executor index; pool-backed
 	pendW   []int64          // weight pending in groups (credit accounting)
 	blocked []int64          // blocked weight per executor this tick
+	closed  []bool           // refused; reopens one flush below credit
+	execs   []*exec          // executor set the closed flags index
 	buf     []stream.Tuple   // tuples bound for a paused destination (src-owned)
 }
 
 // refresh re-reads the destination's snapshot and pause flag for one tick's
 // emissions and sizes the per-executor scratch to the live executor set.
+// Closed flags outlive the tick, but only while the executor set stays the
+// same: a flag indexed against a superseded set could otherwise shut out an
+// executor that was never refused.
 func (d *srcDst) refresh() {
 	d.snap = d.o.snap.Load()
 	d.paused = d.o.paused.Load()
@@ -44,10 +50,16 @@ func (d *srcDst) refresh() {
 		d.groups = make([][]stream.Tuple, n)
 		d.pendW = make([]int64, n)
 		d.blocked = make([]int64, n)
+		d.closed = make([]bool, n)
 	} else {
 		d.groups = d.groups[:n]
 		d.pendW = d.pendW[:n]
 		d.blocked = d.blocked[:n]
+		d.closed = d.closed[:n]
+	}
+	if !slices.Equal(d.execs, d.snap.execs) {
+		clear(d.closed)
+		d.execs = d.snap.execs
 	}
 }
 
@@ -114,9 +126,11 @@ func (s *src) run() {
 // is all-or-none per tuple across every unpaused first-hop destination
 // (credit-based backpressure, the simulator's rule); pending group weight
 // counts against the queue credit so an unflushed group cannot oversubscribe
-// a destination. Paused destinations buffer through deliver, as before.
-// Blocked and generated weights accumulate locally and fold into the shared
-// counters once per tick.
+// a destination. An executor refused for lack of credit stays closed until
+// its queued plus pending weight falls a flush's worth below the credit (see
+// reopenW), so it is refilled by full batches rather than a trickle. Paused
+// destinations buffer through deliver, as before. Blocked and generated
+// weights accumulate locally and fold into the shared counters once per tick.
 func (s *src) emitBatch(n int) {
 	e := s.e
 	now := e.vnow()
@@ -125,6 +139,7 @@ func (s *src) emitBatch(n int) {
 	for _, d := range s.dsts {
 		d.refresh()
 	}
+	reopen := e.reopenW()
 	for i := 0; i < n; i++ {
 		key, bytes, payload := s.drv.Sample(now)
 		t := stream.Tuple{
@@ -146,7 +161,11 @@ func (s *src) emitBatch(n int) {
 			}
 			xi := e.routeIdx(d.o, d.snap, t.Key)
 			d.route = xi
-			if d.snap.execs[xi].queuedW.Load()+d.pendW[xi] >= e.creditW {
+			load := d.snap.execs[xi].queuedW.Load() + d.pendW[xi]
+			if d.closed[xi] && load < reopen {
+				d.closed[xi] = false
+			}
+			if d.closed[xi] || load >= e.creditW {
 				d.blocked[xi] += w
 				blockedTotal += w
 				if d.o.dynRouting {
@@ -154,18 +173,24 @@ func (s *src) emitBatch(n int) {
 					// a saturated executor looks deceptively balanced.
 					d.o.recordShardLoad(t.Key, t.Weight)
 				}
+				if !d.closed[xi] {
+					// Closing: hand the refused executor's pending group to
+					// its worker, which has the work. Every other group
+					// stays pending and flushes full or at tick end.
+					d.closed[xi] = true
+					s.flush(d, xi)
+				}
 				full = true
 				break
 			}
 		}
 		if full {
-			// Refused for lack of credit. Expose every pending group to the
-			// consumers and hand over the core: a full queue means the worker
-			// has runnable work, and at GOMAXPROCS=1 it would otherwise only
-			// run on async preemption while this loop wades through the
-			// remaining (blocked) token budget. The yield turns the blocked
-			// tail into fill→drain ping-pong at queue-credit grain.
-			s.flushPending()
+			// Refused for lack of credit. Hand over the core: a full queue
+			// means the worker has runnable work, and at GOMAXPROCS=1 it
+			// would otherwise only run on async preemption while this loop
+			// wades through the remaining (blocked) token budget. The yield
+			// turns the blocked tail into fill→drain ping-pong at queue-
+			// credit grain.
 			goruntime.Gosched()
 			continue
 		}
@@ -208,6 +233,13 @@ func (s *src) emitBatch(n int) {
 	if blockedTotal > 0 {
 		e.blocked.Add(blockedTotal)
 	}
+}
+
+// reopenW is the load (queued plus pending weight) below which a closed
+// executor takes tuples again: one source flush of margin under the credit,
+// clamped to half the credit so a small-credit engine still reopens.
+func (e *Engine) reopenW() int64 {
+	return e.creditW - min(int64(srcFlushTuples)*int64(e.cfg.Batch), e.creditW/2)
 }
 
 // flushPending sends every non-empty pending group across all destinations.
