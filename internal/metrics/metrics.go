@@ -38,18 +38,6 @@ func NewHistogram() *Histogram {
 	return &Histogram{min: math.MaxInt64}
 }
 
-func bucketOf(d simtime.Duration) int {
-	v := float64(d)
-	if v < histMinVal {
-		return 0
-	}
-	b := int(math.Log(v/histMinVal)/math.Log(histGrowth)) + 1
-	if b >= histBucketCount {
-		b = histBucketCount - 1
-	}
-	return b
-}
-
 // bucketUpper returns the upper bound of bucket b.
 func bucketUpper(b int) simtime.Duration {
 	if b == 0 {

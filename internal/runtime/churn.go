@@ -125,7 +125,7 @@ func (e *Engine) evacuateOp(o *op, n int, graceful bool) {
 	var retire []*exec
 	for _, x := range snap.execs {
 		// Revoke every grant on the dead node.
-		for x.grants()[n] > 0 {
+		for x.grantsOn(n) > 0 {
 			if !x.revoke(n, true) {
 				break
 			}

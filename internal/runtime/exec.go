@@ -177,15 +177,11 @@ func (x *exec) revoke(node int, force bool) bool {
 	return false
 }
 
-// grants returns a copy of the per-node grant counts.
-func (x *exec) grants() map[int]int {
+// grantsOn returns the number of grants the executor holds on node n.
+func (x *exec) grantsOn(n int) int {
 	x.gmu.Lock()
 	defer x.gmu.Unlock()
-	out := make(map[int]int, len(x.byNode))
-	for n, c := range x.byNode {
-		out[n] = c
-	}
-	return out
+	return x.byNode[n]
 }
 
 func (x *exec) grantCount() int {
@@ -243,7 +239,7 @@ func (x *exec) process(ts []stream.Tuple, lane, wnode int) {
 	traced := false
 	for i := range ts {
 		w += int64(ts[i].Weight)
-		cost += x.costOf(ts[i]) * simtime.Duration(ts[i].Weight)
+		cost += x.costOf(&ts[i]) * simtime.Duration(ts[i].Weight)
 		traced = traced || ts[i].Mark != 0
 	}
 	x.queuedW.Add(-w)
@@ -300,7 +296,7 @@ func (x *exec) process(ts []stream.Tuple, lane, wnode int) {
 	var outBytes int64
 	var cur *stripe
 	for i := range ts {
-		t := ts[i]
+		t := &ts[i]
 		sh := x.shardOf(t.Key)
 		st := x.stripeFor(sh)
 		if st != cur {
@@ -312,7 +308,7 @@ func (x *exec) process(ts []stream.Tuple, lane, wnode int) {
 		}
 		from := len(outs)
 		if x.o.meta.Handler != nil {
-			outs = append(outs, x.o.meta.Handler(t, st.accessor(x, sh, t.Key))...)
+			outs = append(outs, x.o.meta.Handler(*t, st.accessor(x, sh, t.Key))...)
 		} else {
 			// Cost-model-only operators still materialize the shard's nominal
 			// state on first touch — the migration and failure cost models
@@ -386,13 +382,13 @@ func (x *exec) process(ts []stream.Tuple, lane, wnode int) {
 			cell.procWin += w
 		}
 		if x.o.sink {
+			observeLatency(ts, now, cell.lat, cell.winLat)
+		}
+		if x.o.sink && traced {
 			for i := range ts {
-				d := now.Sub(ts[i].Born)
-				cell.lat.Observe(d, ts[i].Weight)
-				cell.winLat.Observe(d, ts[i].Weight)
 				if ts[i].Mark != 0 {
 					obs := metrics.StageObservation{
-						Total:       d,
+						Total:       now.Sub(ts[i].Born),
 						Service:     ts[i].Svc,
 						Repartition: ts[i].RPStall,
 						Migration:   ts[i].MGStall,
@@ -413,17 +409,37 @@ func (x *exec) process(ts []stream.Tuple, lane, wnode int) {
 	putTupleBuf(ts)
 }
 
+// observeLatency records a sink batch's end-to-end latency into lat and win
+// with one observation per run of consecutive tuples sharing a Born: a source
+// flush stamps all its tuples alike, so a batch is usually a few runs, not
+// len(ts) samples. Buckets, Count, Sum, Min and Max equal those of per-tuple
+// observation; only the float Mean accumulator can differ in its last bits.
+func observeLatency(ts []stream.Tuple, now simtime.Time, lat, win *metrics.Histogram) {
+	for i := 0; i < len(ts); {
+		born, w := ts[i].Born, ts[i].Weight
+		for i++; i < len(ts) && ts[i].Born == born; i++ {
+			w += ts[i].Weight
+		}
+		d := now.Sub(born)
+		lat.Observe(d, w)
+		win.Observe(d, w)
+	}
+}
+
 // streamUnit is the probe tuple for cost-model estimates (fallback μ).
 func streamUnit(x *exec) stream.Tuple {
 	return stream.Tuple{Bytes: x.o.meta.OutBytes, Weight: 1}
 }
 
-func (x *exec) costOf(t stream.Tuple) simtime.Duration {
+func (x *exec) costOf(t *stream.Tuple) simtime.Duration {
 	if x.o.meta.Cost == nil {
 		return 0
 	}
 	// Cost models price one tuple; weight scales outside.
-	unit := t
+	if t.Weight == 1 {
+		return x.o.meta.Cost(*t)
+	}
+	unit := *t
 	unit.Weight = 1
 	return x.o.meta.Cost(unit)
 }

@@ -154,36 +154,32 @@ func (e *Engine) applyAssignment(x [][]int) {
 	// Phase 1: revoke surplus grants per (node, executor); the executor's
 	// last grant is kept (an executor always holds one core).
 	for j, ex := range e.elastic {
-		have := ex.grants()
 		for n := range e.nodes {
 			want := 0
 			if n < len(x) && j < len(x[n]) {
 				want = x[n][j]
 			}
-			for have[n] > want {
+			for have := ex.grantsOn(n); have > want; have-- {
 				if !ex.revoke(n, false) {
 					break
 				}
-				have[n]--
 				e.nodes[n].free.Add(1)
 			}
 		}
 	}
 	// Phase 2: grant missing cores.
 	for j, ex := range e.elastic {
-		have := ex.grants()
 		for n := range e.nodes {
 			want := 0
 			if n < len(x) && j < len(x[n]) {
 				want = x[n][j]
 			}
-			for have[n] < want {
+			for have := ex.grantsOn(n); have < want; have++ {
 				if !e.nodes[n].alive || e.nodes[n].free.Load() <= 0 {
 					break
 				}
 				e.nodes[n].free.Add(-1)
 				ex.grant(n)
-				have[n]++
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simtime"
 	"repro/internal/stream"
@@ -14,6 +15,39 @@ import (
 
 // Tests for the batched hot path: buffer pooling, striped counters, and the
 // §3.3 repartition protocol's interaction with in-flight batches.
+
+// TestSinkLatencyPerBornRun checks that the sink's one observation per run of
+// equal Born records the same distribution as one observation per tuple:
+// identical Count, Sum, Min, Max and bucket of every ranked sample, in both
+// the cumulative and the window histogram.
+func TestSinkLatencyPerBornRun(t *testing.T) {
+	now := simtime.Time(10 * simtime.Millisecond)
+	a := now.Add(-50 * simtime.Microsecond)
+	b := now.Add(-3 * simtime.Millisecond)
+	ts := []stream.Tuple{
+		{Born: a, Weight: 1}, {Born: a, Weight: 2},
+		{Born: b, Weight: 1}, {Born: b, Weight: 3}, {Born: b, Weight: 1},
+		{Born: a, Weight: 2},
+	}
+	want := metrics.NewHistogram()
+	for _, tu := range ts {
+		want.Observe(now.Sub(tu.Born), tu.Weight)
+	}
+	lat, win := metrics.NewHistogram(), metrics.NewHistogram()
+	observeLatency(ts, now, lat, win)
+	for name, h := range map[string]*metrics.Histogram{"lat": lat, "winLat": win} {
+		if h.Count() != want.Count() || h.Sum() != want.Sum() || h.Min() != want.Min() || h.Max() != want.Max() {
+			t.Fatalf("%s: count/sum/min/max %d/%v/%v/%v, per-tuple %d/%v/%v/%v", name,
+				h.Count(), h.Sum(), h.Min(), h.Max(), want.Count(), want.Sum(), want.Min(), want.Max())
+		}
+		for k := uint64(1); k <= want.Count(); k++ {
+			q := float64(k) / float64(want.Count())
+			if got, exp := h.Quantile(q-1e-9), want.Quantile(q-1e-9); got != exp {
+				t.Fatalf("%s: sample of rank %d in bucket ending %v, per-tuple %v", name, k, got, exp)
+			}
+		}
+	}
+}
 
 // TestStripedCounterFold checks that concurrent adds across all lanes fold to
 // the exact total once the writers quiesce, including out-of-range lane
